@@ -8,6 +8,12 @@ acceptance, efficiency, and resolution; :mod:`repro.detector.digitization`
 converts the energy deposits into the RAW data tier that reconstruction
 consumes — completing the "Raw -> Reconstruction" half of the paper's
 workflow taxonomy.
+
+Random draws are written in numpy's primitive forms, so they cost less
+and return the same bits as the convenience forms: ``rng.random()`` for
+``rng.uniform()``, ``a + (b - a) * rng.random()`` for ``rng.uniform(a,
+b)`` and ``0.0 + s * rng.standard_normal()`` for ``rng.normal(0.0, s)``
+(see "Exact-tier scalar draws" in ``docs/performance.md``).
 """
 
 from repro.detector.geometry import (

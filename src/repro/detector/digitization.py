@@ -199,19 +199,25 @@ class Digitizer:
         )
         transverse_origin = math.hypot(x0, y0)
         sinh_eta = math.sinh(eta)
+        sinh_eta_max = math.sinh(tracker.eta_max)
+        inefficiency = self.config.layer_inefficiency
+        resolution = tracker.hit_resolution_mm
+        z_sigma = 3.0 * resolution
         hits = []
+        # Per-layer scalar draws: the uniform decides whether the two
+        # normals are drawn at all, so this loop cannot be batched.
         for layer, radius in enumerate(tracker.layer_radii_mm):
             if radius <= transverse_origin:
                 # Particle produced outside this layer (displaced decay).
                 continue
-            if rng.uniform() < self.config.layer_inefficiency:
+            if rng.random() < inefficiency:
                 continue
             z = z0 + radius * sinh_eta
             # Longitudinal acceptance from the eta_max envelope.
-            if abs(z) > radius * math.sinh(tracker.eta_max) + 200.0:
+            if abs(z) > radius * sinh_eta_max + 200.0:
                 continue
-            phi_noise = rng.normal(0.0, tracker.hit_resolution_mm / radius)
-            z_noise = rng.normal(0.0, 3.0 * tracker.hit_resolution_mm)
+            phi_noise = 0.0 + resolution / radius * rng.standard_normal()
+            z_noise = 0.0 + z_sigma * rng.standard_normal()
             phi = wrap_phi(phi0 + d0 / radius + curvature * radius
                            + phi_noise)
             hits.append(TrackerHit(layer=layer, r_mm=radius, phi=phi,
@@ -229,8 +235,8 @@ class Digitizer:
             hits.append(TrackerHit(
                 layer=layer,
                 r_mm=radius,
-                phi=float(rng.uniform(-math.pi, math.pi)),
-                z_mm=float(rng.uniform(-2500.0, 2500.0)),
+                phi=-math.pi + math.tau * rng.random(),
+                z_mm=-2500.0 + 5000.0 * rng.random(),
             ))
         return hits
 
@@ -260,27 +266,39 @@ class Digitizer:
 
     def _calo_cells(self, sim_event: SimulatedEvent) -> list[CaloCellHit]:
         rng = self._rng
-        cells: dict[tuple[str, int, int], float] = {}
+        subdetectors = self.geometry.subdetectors
+        placed = []
         for deposit in sim_event.deposits:
             index = self._cell_index(deposit.subdetector, deposit.eta,
                                      deposit.phi)
-            if index is None:
-                continue
+            if index is not None:
+                placed.append((deposit, index))
+        # One side draw per placed deposit; the loop below draws nothing
+        # else, so a single vector draw consumes the stream exactly as
+        # the per-deposit scalar draws would.
+        sides = rng.integers(0, 2, size=len(placed)).tolist()
+        cells: dict[tuple[str, int, int], float] = {}
+        for (deposit, (ieta, iphi)), side in zip(placed, sides):
             # Split the shower over a 1+neighbour footprint: 80% core,
             # 20% shared with a random adjacent cell in phi.
-            core_key = (deposit.subdetector, index[0], index[1])
+            core_key = (deposit.subdetector, ieta, iphi)
             cells[core_key] = cells.get(core_key, 0.0) + 0.8 * deposit.measured_energy
-            sub = self.geometry.subdetectors[deposit.subdetector]
-            neighbour_phi = (index[1] + int(rng.choice([-1, 1]))) % sub.phi_cells
-            neighbour_key = (deposit.subdetector, index[0], neighbour_phi)
+            sub = subdetectors[deposit.subdetector]
+            neighbour_phi = (iphi + (-1, 1)[side]) % sub.phi_cells
+            neighbour_key = (deposit.subdetector, ieta, neighbour_phi)
             cells[neighbour_key] = (
                 cells.get(neighbour_key, 0.0) + 0.2 * deposit.measured_energy
             )
-        # Electronic noise on hit cells.
+        # Electronic noise on hit cells, one draw per cell in the dict's
+        # insertion order.
+        noise = rng.normal(0.0, self.config.calo_cell_noise,
+                           size=len(cells)).tolist()
+        threshold = self.config.calo_cell_threshold
         hits = []
-        for (sub_name, ieta, iphi), energy in cells.items():
-            noisy = energy + rng.normal(0.0, self.config.calo_cell_noise)
-            if noisy >= self.config.calo_cell_threshold:
+        for ((sub_name, ieta, iphi), energy), cell_noise in zip(
+                cells.items(), noise):
+            noisy = energy + cell_noise
+            if noisy >= threshold:
                 hits.append(CaloCellHit(sub_name, ieta, iphi, noisy))
         # Pure-noise cells.
         for sub_name in ("ecal", "hcal"):
@@ -305,20 +323,21 @@ class Digitizer:
     def _muon_hits(self, sim_event: SimulatedEvent) -> list[MuonChamberHit]:
         muon_system = self.geometry.muon_system
         rng = self._rng
+        inefficiency = self.config.layer_inefficiency
         hits = []
         for traversal in sim_event.traversals:
             if not traversal.reaches_muon_system:
                 continue
             for station, radius in enumerate(muon_system.layer_radii_mm):
-                if rng.uniform() < self.config.layer_inefficiency:
+                if rng.random() < inefficiency:
                     continue
                 angular_noise = muon_system.hit_resolution_mm / radius
                 hits.append(MuonChamberHit(
                     station=station,
-                    eta=traversal.momentum.eta + float(
-                        rng.normal(0.0, 5.0 * angular_noise)),
-                    phi=wrap_phi(traversal.momentum.phi + float(
-                        rng.normal(0.0, angular_noise))),
+                    eta=traversal.momentum.eta + (
+                        0.0 + 5.0 * angular_noise * rng.standard_normal()),
+                    phi=wrap_phi(traversal.momentum.phi + (
+                        0.0 + angular_noise * rng.standard_normal())),
                 ))
         return hits
 

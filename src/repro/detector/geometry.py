@@ -58,6 +58,17 @@ class SubDetector:
                 raise ConfigurationError(
                     f"{self.name}: layer at {radius} mm outside envelope"
                 )
+        if self.eta_cells < 0 or self.phi_cells < 0:
+            raise ConfigurationError(
+                f"{self.name}: cell counts must be non-negative, got "
+                f"{self.eta_cells} x {self.phi_cells}"
+            )
+        if (self.eta_cells == 0) != (self.phi_cells == 0):
+            raise ConfigurationError(
+                f"{self.name}: eta_cells and phi_cells must both be zero "
+                f"(no cells) or both positive, got "
+                f"{self.eta_cells} x {self.phi_cells}"
+            )
 
     def to_dict(self) -> dict:
         """Serialise for the display-geometry export."""

@@ -51,7 +51,8 @@ class CaloResponse:
         if energy <= 0.0:
             return 0.0
         sigma = self.relative_resolution(energy) * energy
-        measured = self.energy_scale * (energy + rng.normal(0.0, sigma))
+        measured = self.energy_scale * (
+            energy + (0.0 + sigma * rng.standard_normal()))
         return max(0.0, measured)
 
     def smear_array(self, energies, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +105,7 @@ class TrackerResponse:
     def smear_pt(self, pt: float, rng: np.random.Generator) -> float:
         """Sample a measured pt for a true transverse momentum."""
         sigma = self.relative_resolution(pt) * pt
-        return max(0.01, pt + rng.normal(0.0, sigma))
+        return max(0.01, pt + (0.0 + sigma * rng.standard_normal()))
 
     def smear_pt_array(self, pts, rng: np.random.Generator) -> np.ndarray:
         """Vectorised :meth:`smear_pt`; bit-identical to the scalar loop
@@ -152,7 +153,7 @@ class EfficiencyCurve:
 
     def passes(self, pt: float, rng: np.random.Generator) -> bool:
         """Sample a pass/fail decision at the given pt."""
-        return bool(rng.uniform() < self.value(pt))
+        return bool(rng.random() < self.value(pt))
 
     def passes_array(self, pts, rng: np.random.Generator) -> np.ndarray:
         """Vectorised :meth:`passes` over an array of pts.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.detector.geometry import DetectorGeometry
+from repro.detector.geometry import DetectorGeometry, SubDetector
 from repro.detector.response import CaloResponse, EfficiencyCurve
 from repro.generation.hepmc import GenEvent, GenParticle
 from repro.kinematics import FourVector, ParticleTable, default_particle_table
@@ -156,10 +156,11 @@ class DetectorSimulation:
     def simulate(self, event: GenEvent) -> SimulatedEvent:
         """Run the fast simulation over one truth event."""
         rng = self._rng
+        sigma_xy = self.config.beamspot_sigma_xy_mm
         primary_vertex = (
-            float(rng.normal(0.0, self.config.beamspot_sigma_xy_mm)),
-            float(rng.normal(0.0, self.config.beamspot_sigma_xy_mm)),
-            float(rng.normal(0.0, self.config.beamspot_sigma_z_mm)),
+            0.0 + sigma_xy * rng.standard_normal(),
+            0.0 + sigma_xy * rng.standard_normal(),
+            0.0 + self.config.beamspot_sigma_z_mm * rng.standard_normal(),
         )
         sim_event = SimulatedEvent(
             event_number=event.event_number,
@@ -169,6 +170,8 @@ class DetectorSimulation:
         )
         tracker = self.geometry.tracker
         muon_system = self.geometry.muon_system
+        ecal = self.geometry.ecal
+        hcal = self.geometry.hcal
 
         for particle in event.final_state():
             if not self._is_visible(particle):
@@ -212,12 +215,12 @@ class DetectorSimulation:
                         ))
 
             # Calorimeter deposits.
-            self._deposit(sim_event, particle, is_muon)
+            self._deposit(sim_event, particle, is_muon, ecal, hcal)
 
         return sim_event
 
     def _deposit(self, sim_event: SimulatedEvent, particle: GenParticle,
-                 is_muon: bool) -> None:
+                 is_muon: bool, ecal: SubDetector, hcal: SubDetector) -> None:
         """Deposit the particle's energy into the calorimeters."""
         rng = self._rng
         momentum = particle.momentum
@@ -227,8 +230,6 @@ class DetectorSimulation:
         if math.isinf(eta):
             return
         abs_id = abs(particle.pdg_id)
-        ecal = self.geometry.ecal
-        hcal = self.geometry.hcal
         config = self.config
 
         if is_muon:

@@ -10,6 +10,12 @@ The physics is deliberately simplified (factorised production spectra,
 isotropic decays, toy fragmentation) but statistically honest: mass peaks
 are Breit-Wigners, lifetimes are exponential, spectra have the right gross
 shapes, so every downstream preservation workflow exercises realistic data.
+
+Random draws are written in numpy's primitive forms, so they cost less
+and return the same bits as the convenience forms: ``rng.random()`` for
+``rng.uniform()``, ``a + (b - a) * rng.random()`` for ``rng.uniform(a,
+b)`` and ``0.0 + s * rng.standard_normal()`` for ``rng.normal(0.0, s)``
+(see "Exact-tier scalar draws" in ``docs/performance.md``).
 """
 
 from repro.generation.hepmc import GenEvent, GenParticle, ParticleStatus

@@ -38,9 +38,9 @@ def two_body_decay(
     term_minus = parent_mass**2 - (mass1 - mass2) ** 2
     p_star = math.sqrt(term_plus * term_minus) / (2.0 * parent_mass)
 
-    cos_theta = rng.uniform(-1.0, 1.0)
+    cos_theta = -1.0 + 2.0 * rng.random()
     sin_theta = math.sqrt(1.0 - cos_theta * cos_theta)
-    phi = rng.uniform(-math.pi, math.pi)
+    phi = -math.pi + math.tau * rng.random()
 
     px = p_star * sin_theta * math.cos(phi)
     py = p_star * sin_theta * math.sin(phi)
@@ -121,7 +121,7 @@ def smeared_primary_vertex(
 ) -> tuple[float, float, float]:
     """Sample a primary-vertex position from the beam-spot distribution."""
     return (
-        float(rng.normal(0.0, sigma_xy_mm)),
-        float(rng.normal(0.0, sigma_xy_mm)),
-        float(rng.normal(0.0, sigma_z_mm)),
+        0.0 + sigma_xy_mm * rng.standard_normal(),
+        0.0 + sigma_xy_mm * rng.standard_normal(),
+        0.0 + sigma_z_mm * rng.standard_normal(),
     )

@@ -121,8 +121,8 @@ def _sample_resonance_momentum(
 ) -> FourVector:
     """Sample the lab momentum of a centrally produced heavy resonance."""
     pt = rng.exponential(mean_pt)
-    y = rng.normal(0.0, rapidity_sigma)
-    phi = rng.uniform(-math.pi, math.pi)
+    y = 0.0 + rapidity_sigma * rng.standard_normal()
+    phi = -math.pi + math.tau * rng.random()
     mt = math.sqrt(mass * mass + pt * pt)
     energy = mt * math.cosh(y)
     pz = mt * math.sinh(y)
@@ -163,21 +163,22 @@ def _fragment_jet(
     t1 /= np.linalg.norm(t1)
     t2 = np.cross(axis, t1)
 
+    width = tune.frag_pt_width_gev
     for fraction in fractions:
         # 60% pi+-, 15% pi0, 15% K+-, 10% K0_L by species.
-        roll = rng.uniform()
+        roll = rng.random()
         if roll < 0.60:
-            pdg = PDG_PION if rng.uniform() < 0.5 else -PDG_PION
+            pdg = PDG_PION if rng.random() < 0.5 else -PDG_PION
         elif roll < 0.75:
             pdg = PDG_PI0
         elif roll < 0.90:
-            pdg = PDG_KAON if rng.uniform() < 0.5 else -PDG_KAON
+            pdg = PDG_KAON if rng.random() < 0.5 else -PDG_KAON
         else:
             pdg = 130
         mass = table.by_id(pdg).mass
         p_long = fraction * axis_p
-        kick1 = rng.normal(0.0, tune.frag_pt_width_gev)
-        kick2 = rng.normal(0.0, tune.frag_pt_width_gev)
+        kick1 = 0.0 + width * rng.standard_normal()
+        kick2 = 0.0 + width * rng.standard_normal()
         p3 = p_long * axis + kick1 * t1 + kick2 * t2
         momentum = FourVector.from_p3m(p3[0], p3[1], p3[2], mass)
         event.add_particle(pdg, momentum, ParticleStatus.FINAL,
@@ -271,7 +272,7 @@ class HiggsToFourLeptons(Process):
         for _ in range(200):
             m_onshell = breit_wigner_mass(z_species.mass, z_species.width,
                                           rng, minimum=40.0)
-            m_offshell = rng.uniform(12.0, 45.0)
+            m_offshell = 12.0 + 33.0 * rng.random()
             if m_onshell + m_offshell < higgs_species.mass:
                 break
         else:
@@ -283,7 +284,7 @@ class HiggsToFourLeptons(Process):
         z2 = event.add_particle(PDG_Z, z2_p, ParticleStatus.DECAYED,
                                 parents=[higgs.index])
         for z in (z1, z2):
-            flavour = PDG_MUON if rng.uniform() < 0.5 else PDG_ELECTRON
+            flavour = PDG_MUON if rng.random() < 0.5 else PDG_ELECTRON
             lepton_mass = table.by_id(flavour).mass
             minus, plus = two_body_decay(z.momentum, lepton_mass, lepton_mass,
                                          rng)
@@ -320,19 +321,19 @@ class QCDDijets(Process):
     def _sample_pt(self, rng: np.random.Generator) -> float:
         """Inverse-CDF sample of a power-law ``pt^-n`` spectrum."""
         n = self.spectral_index
-        u = rng.uniform()
+        u = rng.random()
         a = self.pt_min ** (1.0 - n)
         b = self.pt_max ** (1.0 - n)
         return (a + u * (b - a)) ** (1.0 / (1.0 - n))
 
     def fill(self, event, rng, table, tune):
         pt = self._sample_pt(rng)
-        eta1 = rng.normal(0.0, 1.5)
-        eta2 = rng.normal(0.0, 1.5)
-        phi = rng.uniform(-math.pi, math.pi)
-        opposite = phi + math.pi + rng.normal(0.0, 0.12)
+        eta1 = 0.0 + 1.5 * rng.standard_normal()
+        eta2 = 0.0 + 1.5 * rng.standard_normal()
+        phi = -math.pi + math.tau * rng.random()
+        opposite = phi + math.pi + (0.0 + 0.12 * rng.standard_normal())
         parton1 = FourVector.from_ptetaphim(pt, eta1, phi, 0.0)
-        kt_balance = pt * (1.0 + rng.normal(0.0, 0.08))
+        kt_balance = pt * (1.0 + (0.0 + 0.08 * rng.standard_normal()))
         parton2 = FourVector.from_ptetaphim(max(1.0, kt_balance), eta2,
                                             opposite, 0.0)
         for parton in (parton1, parton2):
@@ -355,8 +356,8 @@ class DzeroProduction(Process):
     def fill(self, event, rng, table, tune):
         d0_species = table.by_id(PDG_D0)
         pt = 2.0 + rng.exponential(3.0)
-        eta = rng.uniform(2.0, 4.5)  # forward, LHCb-like
-        phi = rng.uniform(-math.pi, math.pi)
+        eta = 2.0 + 2.5 * rng.random()  # forward, LHCb-like
+        phi = -math.pi + math.tau * rng.random()
         d0_momentum = FourVector.from_ptetaphim(pt, eta, phi, d0_species.mass)
         vertex, proper_time = sample_decay_vertex(
             d0_momentum, d0_species.lifetime_ns, rng
@@ -389,8 +390,8 @@ class KshortProduction(Process):
     def fill(self, event, rng, table, tune):
         kshort_species = table.by_id(310)
         pt = 0.5 + rng.exponential(1.5)
-        eta = rng.uniform(-1.5, 1.5)
-        phi = rng.uniform(-math.pi, math.pi)
+        eta = -1.5 + 3.0 * rng.random()
+        phi = -math.pi + math.tau * rng.random()
         momentum = FourVector.from_ptetaphim(pt, eta, phi,
                                              kshort_species.mass)
         vertex, _ = sample_decay_vertex(momentum,
@@ -421,8 +422,8 @@ class JpsiToMuMu(Process):
     def fill(self, event, rng, table, tune):
         jpsi_species = table.by_id(PDG_JPSI)
         pt = 3.0 + rng.exponential(4.0)
-        y = rng.normal(0.0, 1.8)
-        phi = rng.uniform(-math.pi, math.pi)
+        y = 0.0 + 1.8 * rng.standard_normal()
+        phi = -math.pi + math.tau * rng.random()
         mt = math.sqrt(jpsi_species.mass**2 + pt * pt)
         momentum = FourVector(mt * math.cosh(y), pt * math.cos(phi),
                               pt * math.sin(phi), mt * math.sinh(y))
@@ -447,17 +448,17 @@ class MinimumBias(Process):
     def fill(self, event, rng, table, tune):
         n_hadrons = max(1, int(rng.poisson(tune.ue_mean_multiplicity)))
         for _ in range(n_hadrons):
-            roll = rng.uniform()
+            roll = rng.random()
             if roll < 0.7:
-                pdg = PDG_PION if rng.uniform() < 0.5 else -PDG_PION
+                pdg = PDG_PION if rng.random() < 0.5 else -PDG_PION
             elif roll < 0.85:
                 pdg = PDG_PI0
             else:
-                pdg = PDG_KAON if rng.uniform() < 0.5 else -PDG_KAON
+                pdg = PDG_KAON if rng.random() < 0.5 else -PDG_KAON
             mass = table.by_id(pdg).mass
             pt = rng.exponential(tune.ue_pt_slope_gev)
-            eta = rng.uniform(-4.0, 4.0)
-            phi = rng.uniform(-math.pi, math.pi)
+            eta = -4.0 + 8.0 * rng.random()
+            phi = -math.pi + math.tau * rng.random()
             momentum = FourVector.from_ptetaphim(pt, eta, phi, mass)
             event.add_particle(pdg, momentum, ParticleStatus.FINAL)
 

@@ -26,6 +26,26 @@ class TestSubDetector:
         with pytest.raises(ConfigurationError):
             SubDetector("bad", SubDetectorKind.ECAL, 0.0, 10.0, 20.0)
 
+    @pytest.mark.parametrize("eta_cells,phi_cells", [
+        (-1, 0), (0, -1), (-4, 8), (8, -4), (-2, -2),
+    ])
+    def test_negative_cell_counts_rejected(self, eta_cells, phi_cells):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            SubDetector("bad", SubDetectorKind.ECAL, 2.5, 10.0, 20.0,
+                        eta_cells=eta_cells, phi_cells=phi_cells)
+
+    @pytest.mark.parametrize("eta_cells,phi_cells", [(10, 0), (0, 10)])
+    def test_half_granular_cells_rejected(self, eta_cells, phi_cells):
+        with pytest.raises(ConfigurationError, match="both"):
+            SubDetector("bad", SubDetectorKind.ECAL, 2.5, 10.0, 20.0,
+                        eta_cells=eta_cells, phi_cells=phi_cells)
+
+    @pytest.mark.parametrize("eta_cells,phi_cells", [(0, 0), (1, 1), (7, 3)])
+    def test_consistent_cell_counts_accepted(self, eta_cells, phi_cells):
+        sub = SubDetector("ok", SubDetectorKind.ECAL, 2.5, 10.0, 20.0,
+                          eta_cells=eta_cells, phi_cells=phi_cells)
+        assert (sub.eta_cells, sub.phi_cells) == (eta_cells, phi_cells)
+
 
 class TestGeometry:
     def test_generic_detector_has_all_systems(self):
