@@ -17,7 +17,9 @@ workshop set out to scope:
   analyses against archived inputs and outputs;
 - :mod:`repro.core.migrate` — platform-migration simulation and
   re-validation, quantifying the maintenance cost the paper attributes
-  to full-stack (RECAST-style) preservation.
+  to full-stack (RECAST-style) preservation;
+- :mod:`repro.core.dag` — the dependency-free DAG type behind the
+  provenance and workflow graphs.
 
 The public names below resolve lazily (PEP 562): substrate packages
 (:mod:`repro.obs`, :mod:`repro.datamodel`) import the dependency-free
@@ -51,6 +53,8 @@ _EXPORTS = {
     "canonical_json": "repro.core.canonical",
     "canonical_text": "repro.core.canonical",
     "canonical_document": "repro.core.canonical",
+    "DAG": "repro.core.dag",
+    "CycleError": "repro.core.dag",
     "ObjectDefinition": "repro.core.describe",
     "EventSelection": "repro.core.describe",
     "KinematicVariable": "repro.core.describe",

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
+from repro.core.dag import DAG, CycleError
 from repro.errors import ExperimentError
 from repro.experiments.profiles import (
     ConstantsHandling,
@@ -62,7 +61,7 @@ class WorkflowGraph:
 
     def __init__(self, experiment: str) -> None:
         self.experiment = experiment
-        self._graph = nx.DiGraph()
+        self._graph = DAG()
         self._nodes: dict[str, WorkflowNode] = {}
 
     def add_node(self, name: str, kind: str, stage: str) -> None:
@@ -76,19 +75,19 @@ class WorkflowGraph:
         self._graph.add_node(name)
 
     def add_edge(self, source: str, target: str) -> None:
-        """Add a produces/consumes edge."""
+        """Add a produces/consumes edge; a rejected edge changes nothing."""
         for name in (source, target):
             if name not in self._nodes:
                 raise ExperimentError(
                     f"{self.experiment}: unknown workflow node {name!r}"
                 )
-        self._graph.add_edge(source, target)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(source, target)
+        try:
+            self._graph.add_edge(source, target)
+        except CycleError:
             raise ExperimentError(
                 f"{self.experiment}: edge {source!r} -> {target!r} "
                 f"creates a cycle"
-            )
+            ) from None
 
     def node(self, name: str) -> WorkflowNode:
         """Look up one node."""
@@ -114,7 +113,7 @@ class WorkflowGraph:
         """The set of (source label, target label) pairs."""
         return {
             (self._nodes[source].label, self._nodes[target].label)
-            for source, target in self._graph.edges
+            for source, target in self._graph.edges()
         }
 
     def __len__(self) -> int:
@@ -136,7 +135,7 @@ class WorkflowGraph:
                 f'  "{node.name}" [shape={shape}, '
                 f'label="{node.name}\\n({node.stage})"];'
             )
-        for source, target in sorted(self._graph.edges):
+        for source, target in sorted(self._graph.edges()):
             lines.append(f'  "{source}" -> "{target}";')
         lines.append("}")
         return "\n".join(lines)
@@ -151,7 +150,7 @@ class WorkflowGraph:
                 selected = not selected
             if selected:
                 result.add_node(node.name, node.kind, node.stage)
-        for source, target in self._graph.edges:
+        for source, target in self._graph.edges():
             if source in result._nodes and target in result._nodes:
                 result.add_edge(source, target)
         return result

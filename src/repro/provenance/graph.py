@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.core.dag import DAG
 from repro.errors import ProvenanceError
 from repro.provenance.records import ArtifactRecord
 
@@ -17,33 +16,33 @@ class ProvenanceGraph:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._graph = DAG()
         self._records: dict[str, ArtifactRecord] = {}
 
     def add(self, record: ArtifactRecord) -> None:
-        """Register an artifact; rejects duplicates and cycles."""
-        if record.artifact_id in self._records:
+        """Register an artifact; rejects duplicates and cycles.
+
+        A rejected record leaves the graph untouched.
+        """
+        artifact_id = record.artifact_id
+        if artifact_id in self._records:
             raise ProvenanceError(
-                f"artifact {record.artifact_id!r} already registered"
+                f"artifact {artifact_id!r} already registered"
             )
-        self._records[record.artifact_id] = record
-        self._graph.add_node(record.artifact_id)
+        # The id may already be a dangling parent of registered records;
+        # a cycle closes exactly when a parent is the id or descends
+        # from it, so test that before mutating anything.
+        blocked = {artifact_id}
+        if artifact_id in self._graph:
+            blocked |= self._graph.descendants(artifact_id)
+        if any(parent in blocked for parent in record.parents):
+            raise ProvenanceError(
+                f"adding {artifact_id!r} would create a cycle"
+            )
+        self._records[artifact_id] = record
+        self._graph.add_node(artifact_id)
         for parent in record.parents:
-            self._graph.add_edge(parent, record.artifact_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            # Roll back the offending node to keep the graph usable.
-            self._graph.remove_node(record.artifact_id)
-            del self._records[record.artifact_id]
-            # The removed id may have pre-existed as a dangling parent
-            # of registered records; removing the node dropped those
-            # edges too, so restore them or later audits would see a
-            # spuriously complete ancestry.
-            for child_id, child in self._records.items():
-                if record.artifact_id in child.parents:
-                    self._graph.add_edge(record.artifact_id, child_id)
-            raise ProvenanceError(
-                f"adding {record.artifact_id!r} would create a cycle"
-            )
+            self._graph.add_edge(parent, artifact_id)
 
     def __contains__(self, artifact_id: str) -> bool:
         return artifact_id in self._records
@@ -68,24 +67,24 @@ class ProvenanceGraph:
         """All ids upstream of an artifact (registered or dangling)."""
         if artifact_id not in self._graph:
             raise ProvenanceError(f"unknown artifact {artifact_id!r}")
-        return set(nx.ancestors(self._graph, artifact_id))
+        return self._graph.ancestors(artifact_id)
 
     def descendants(self, artifact_id: str) -> set[str]:
         """All ids derived (transitively) from an artifact."""
         if artifact_id not in self._graph:
             raise ProvenanceError(f"unknown artifact {artifact_id!r}")
-        return set(nx.descendants(self._graph, artifact_id))
+        return self._graph.descendants(artifact_id)
 
     def lineage(self, artifact_id: str) -> list[ArtifactRecord]:
         """The registered ancestry of an artifact, topologically ordered."""
         ancestor_ids = self.ancestors(artifact_id)
-        ordered = [node for node in nx.topological_sort(self._graph)
+        ordered = [node for node in self._graph.topological_order()
                    if node in ancestor_ids and node in self._records]
         return [self._records[node] for node in ordered]
 
     def dangling_parents(self) -> set[str]:
         """Parent ids that were referenced but never registered."""
-        return {node for node in self._graph.nodes
+        return {node for node in self._graph.nodes()
                 if node not in self._records}
 
     def roots(self) -> list[str]:

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import StatsError
 from repro.stats.histogram import Histogram1D
@@ -53,6 +52,10 @@ def _prepare_points(histogram: Histogram1D
 def fit_gaussian_peak(histogram: Histogram1D,
                       linear_background: bool = True) -> FitResult:
     """Fit ``A exp(-(x-mu)^2 / 2 sigma^2) [+ p0 + p1 x]`` to a histogram."""
+    # Imported at the call site, not the module top: scipy.optimize is a
+    # cold-start cost that most importers never use.
+    from scipy import optimize
+
     x, y, err = _prepare_points(histogram)
     peak_guess = float(x[np.argmax(y)])
     amplitude_guess = float(y.max())
@@ -96,6 +99,8 @@ def fit_exponential_lifetime(histogram: Histogram1D) -> FitResult:
 
     Returns ``tau`` in whatever unit the histogram axis uses.
     """
+    from scipy import optimize
+
     x, y, err = _prepare_points(histogram)
 
     def model(t, norm, tau):

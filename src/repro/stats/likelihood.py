@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
 from scipy.special import gammaln
 
 from repro.errors import StatsError
@@ -71,6 +70,10 @@ class CountingExperiment:
         """NLL with the background nuisance profiled out."""
         if self.background_uncertainty == 0.0:
             return self.nll(cross_section)
+        # Imported at the call site, not the module top: scipy.optimize
+        # is a cold-start cost that most importers never use.
+        from scipy import optimize
+
         result = optimize.minimize_scalar(
             lambda shift: self.nll(cross_section, shift),
             bounds=(-5.0 * self.background_uncertainty,
@@ -81,6 +84,8 @@ class CountingExperiment:
 
     def best_fit_cross_section(self, upper_bound: float = 1e6) -> float:
         """Maximum-likelihood signal cross-section (bounded at zero)."""
+        from scipy import optimize
+
         result = optimize.minimize_scalar(
             self.profiled_nll, bounds=(0.0, upper_bound), method="bounded"
         )

@@ -114,6 +114,15 @@ class TestWorkflowGraphs:
         with pytest.raises(ExperimentError):
             graph.add_edge("publication", "raw")
 
+    def test_rejected_edge_leaves_graph_unchanged(self):
+        graph = build_workflow(get_experiment("CMS"))
+        dot, labels = graph.to_dot(), graph.edge_labels()
+        for source, target in (("publication", "raw"), ("aod", "aod")):
+            with pytest.raises(ExperimentError):
+                graph.add_edge(source, target)
+        assert graph.to_dot() == dot
+        assert graph.edge_labels() == labels
+
 
 class TestTable1:
     def test_matrix_rows_and_columns(self):

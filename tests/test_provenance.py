@@ -70,6 +70,19 @@ class TestGraph:
         assert "b" not in graph
         assert len(graph) == 1
 
+    def test_rejected_cycle_leaves_no_phantom_parents(self):
+        graph = ProvenanceGraph()
+        graph.add(_artifact("b", parents=("a",)))
+        with pytest.raises(ProvenanceError):
+            graph.add(_artifact("a", parents=("b", "ghost")))
+        # "a" is still the dangling parent of "b"; "ghost" was only
+        # named by the rejected record.
+        assert graph.dangling_parents() == {"a"}
+        assert graph.ancestors("b") == {"a"}
+        assert graph.descendants("a") == {"b"}
+        graph.add(_artifact("a", parents=("ghost",)))
+        assert graph.dangling_parents() == {"ghost"}
+
     def test_dangling_parents_detected(self):
         graph = ProvenanceGraph()
         graph.add(_artifact("child", parents=("lost-parent",)))

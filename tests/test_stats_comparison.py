@@ -77,6 +77,58 @@ class TestKS:
         assert 0.0 <= ks_test(a, b).statistic <= 1.0
 
 
+def _histogram_pairs():
+    """Seeded pairs spanning p-values from ~1 down to underflow."""
+    for seed in range(40):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(20, 4000))
+        shift = float(rng.uniform(0.0, 0.2)) * (seed % 4)
+        width = 1.0 + float(rng.uniform(0.0, 0.1)) * (seed % 3)
+        a = Histogram1D("a", int(rng.integers(5, 60)), -5.0, 5.0)
+        b = Histogram1D("b", a.nbins, -5.0, 5.0)
+        a.fill_array(rng.normal(0.0, 1.0, n))
+        b.fill_array(rng.normal(shift, width,
+                                int(n * rng.uniform(0.5, 1.5))))
+        yield a, b
+
+
+class TestPValueIdentity:
+    """The scipy.special survival functions equal scipy.stats' bit for bit.
+
+    ``chi2_test`` and ``ks_test`` call ``chdtrc`` and ``kolmogorov``
+    directly; the distribution objects wrap exactly those functions.
+    """
+
+    def test_chi2_matches_distribution_sf(self):
+        from scipy import stats
+
+        for a, b in _histogram_pairs():
+            result = chi2_test(a, b)
+            expected = float(stats.chi2.sf(result.statistic, result.n_dof))
+            assert result.p_value.hex() == expected.hex()
+
+    def test_ks_matches_distribution_sf(self):
+        from scipy import stats
+
+        for a, b in _histogram_pairs():
+            result = ks_test(a, b)
+            n1 = a.integral() ** 2 / float((a.errors() ** 2).sum())
+            n2 = b.integral() ** 2 / float((b.errors() ** 2).sum())
+            y = result.statistic * np.sqrt(n1 * n2 / (n1 + n2))
+            expected = float(stats.kstwobign.sf(y))
+            assert result.p_value.hex() == expected.hex()
+
+    def test_zero_statistic_gives_unit_p_value(self):
+        a = _gaussian_histogram("a", 0.0, 1.0, 2000, 11)
+        b = _gaussian_histogram("b", 0.0, 1.0, 2000, 11)
+        chi2_result = chi2_test(a, b)
+        ks_result = ks_test(a, b)
+        assert chi2_result.statistic == 0.0
+        assert ks_result.statistic == 0.0
+        assert chi2_result.p_value == 1.0
+        assert ks_result.p_value == 1.0
+
+
 class TestRatio:
     def test_unit_ratio_for_identical(self):
         a = _gaussian_histogram("a", 0.0, 1.0, 2000, 11)
