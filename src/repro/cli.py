@@ -637,8 +637,9 @@ def _cmd_lint(args) -> int:
         raise ReproError(
             "lint needs at least one target path (or --bundled)"
         )
-    import time
+    from repro.runtime import MonotonicClock
 
+    clock = MonotonicClock()
     config = LintConfig(select=tuple(args.select),
                         ignore=tuple(args.ignore),
                         suppressions=_parse_suppressions(args.suppress))
@@ -648,7 +649,7 @@ def _cmd_lint(args) -> int:
     def lint_target(label: str, *passes) -> None:
         """One target under its span, timed into the histogram."""
         with session.obs.span("lint.target", target=label) as span:
-            started = time.monotonic()
+            started = clock.now()
             before = len(session.report().findings)
             for lint_pass in passes:
                 session.extend(lint_pass())
@@ -656,7 +657,7 @@ def _cmd_lint(args) -> int:
                      len(session.report().findings) - before)
         if obs_metrics is not None:
             obs_metrics.histogram("lint.target_seconds").observe(
-                time.monotonic() - started)
+                clock.now() - started)
 
     with session.obs.span("lint.run", n_targets=len(args.targets),
                           bundled=bool(args.bundled)):

@@ -21,7 +21,6 @@ from repro.lint.consistency import (
     lint_slim_spec,
 )
 from repro.lint.det import (
-    det_findings,
     lint_tree_det,
     register_replay_root,
     replay_root,
@@ -46,7 +45,7 @@ from repro.lint.flow import (
     extract_closure,
     lint_tree_deep,
 )
-from repro.lint.par import lint_tree_par, par_findings
+from repro.lint.par import lint_tree_par
 from repro.lint.pycheck import lint_source, lint_source_file
 from repro.lint.report import (
     render_json,
@@ -75,7 +74,6 @@ __all__ = [
     "check_manifest_against_recast",
     "check_manifest_against_repository",
     "classify_document",
-    "det_findings",
     "extract_closure",
     "get_rule",
     "lint_archive_directory",
@@ -95,7 +93,6 @@ __all__ = [
     "lint_tree_deep",
     "lint_tree_det",
     "lint_tree_par",
-    "par_findings",
     "register_replay_root",
     "render_json",
     "render_rule_catalog",

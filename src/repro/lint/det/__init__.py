@@ -9,14 +9,13 @@ and undisciplined randomness. Built on the flow layer's module/call
 graphs; run via ``repro lint --det`` (and as part of ``--deep``).
 """
 
-from repro.lint.det.analysis import det_findings, lint_tree_det
+from repro.lint.det.analysis import lint_tree_det
 from repro.lint.det.roots import (
     register_replay_root,
     replay_root,
     replay_roots,
 )
 from repro.lint.det.scan import (
-    DetFact,
     DetFactKind,
     ModuleDetScan,
     RootDecl,
@@ -24,11 +23,9 @@ from repro.lint.det.scan import (
 )
 
 __all__ = [
-    "DetFact",
     "DetFactKind",
     "ModuleDetScan",
     "RootDecl",
-    "det_findings",
     "lint_tree_det",
     "register_replay_root",
     "replay_root",

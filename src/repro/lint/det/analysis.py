@@ -12,15 +12,12 @@ pseudo-nodes are deliberately *not* followed: import-time work runs
 once per process, before any serialisation, and is policed by
 DAS006/DAS206.
 
-Findings carry the full shortest witness chain, like DAS2xx/DAS3xx.
-Waivers work the usual way: ``# lint: ignore[DAS4nn]`` at the
-instability line kills every chain through it, a waiver at the root's
-definition line kills the finding itself.
+Chains and waivers follow the shared reachability contract
+(:mod:`repro.lint.flow.reach`); as in DAS3xx, an instability in the
+root itself is reported.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from repro.lint.det.roots import replay_roots
 from repro.lint.det.rules import (
@@ -38,7 +35,6 @@ from repro.lint.det.rules import (
     RULE_DET_WALL_CLOCK,
 )
 from repro.lint.det.scan import (
-    DetFact,
     DetFactKind,
     ModuleDetScan,
     RootDecl,
@@ -47,7 +43,7 @@ from repro.lint.det.scan import (
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, _GraphBuilder
 from repro.lint.flow.modgraph import build_module_graph
-from repro.lint.pycheck import _ignored_codes_by_line
+from repro.lint.flow.reach import FactFamily, Reachability, readable
 
 #: Instabilities that travel along call edges to a replay root.
 _PROPAGATED = {
@@ -64,57 +60,28 @@ _PROPAGATED = {
     DetFactKind.DICT_FROM_UNORDERED: RULE_DET_DICT_FROM_UNORDERED,
 }
 
-#: Every code a fact kind surfaces as — a waiver at the fact line
-#: naming it (or a bare marker) kills all chains through it.
-_KIND_CODES = {
-    kind: {rule.code} for kind, rule in _PROPAGATED.items()
-}
+#: Import-time work runs once per process, before any serialisation
+#: (see module docstring); an instability in the root itself counts.
+_FAMILY = FactFamily(
+    rules=_PROPAGATED,
+    waiver_codes={kind: {rule.code} for kind, rule in _PROPAGATED.items()},
+    follow_imports=False,
+    count_root=True,
+)
 
 
-def _readable(qualname: str) -> str:
-    return qualname.replace(":<module>", " (import)").replace(":", ".")
-
-
-def _render_chain(chain: tuple[str, ...]) -> str:
-    return " -> ".join(_readable(part) for part in chain)
-
-
-class _DetAnalysis:
+class _DetAnalysis(Reachability):
     """One det pass over one built call graph."""
 
     def __init__(self, graph: CallGraph,
                  builder: _GraphBuilder) -> None:
-        self.graph = graph
-        self.builder = builder
-        self.waivers = {
-            name: _ignored_codes_by_line(node.source)
-            for name, node in graph.modules.modules.items()
-            if not node.parse_error}
         self.det_scans: dict[str, ModuleDetScan] = {
             name: scan_det_module(name, scan)
             for name, scan in sorted(builder.scans.items())}
-        self.facts: dict[str, tuple[DetFact, ...]] = {}
-        for name, det_scan in self.det_scans.items():
-            for qualname, found in det_scan.facts.items():
-                kept = tuple(
-                    fact for fact in found
-                    if not self._waived(name, fact.line,
-                                        _KIND_CODES[fact.kind]))
-                if kept:
-                    self.facts[qualname] = kept
+        super().__init__(graph, _FAMILY, {
+            qualname: found for det_scan in self.det_scans.values()
+            for qualname, found in det_scan.facts.items()})
         self.findings: list[Finding] = []
-
-    def _waived(self, module: str, line: int,
-                codes: set[str]) -> bool:
-        table = self.waivers.get(module, {})
-        if line not in table:
-            return False
-        waived = table[line]
-        return waived is None or bool(waived & codes)
-
-    def _module_file(self, module: str) -> str:
-        node = self.graph.modules.modules.get(module)
-        return node.path if node is not None else module
 
     # -- roots ---------------------------------------------------------
 
@@ -145,15 +112,15 @@ class _DetAnalysis:
             det_scan = self.det_scans.get(module)
             if det_scan is None:
                 continue
-            file = self._module_file(module)
+            file = self.module_file(module)
             for qualname, line, problem in det_scan.root_errors:
-                if self._waived(module, line,
-                                {RULE_DET_INVALID_ROOT.code}):
+                if self.waived(module, line,
+                               {RULE_DET_INVALID_ROOT.code}):
                     continue
                 self.findings.append(RULE_DET_INVALID_ROOT.finding(
                     f"replay-root declaration on "
-                    f"{_readable(qualname)!r}: {problem}",
-                    artifact=_readable(qualname), file=file,
+                    f"{readable(qualname)!r}: {problem}",
+                    artifact=readable(qualname), file=file,
                     line=line,
                 ))
         by_label: dict[str, list[str]] = {}
@@ -167,89 +134,35 @@ class _DetAnalysis:
             for qualname in holders[1:]:
                 decl = declared[qualname]
                 module = qualname.partition(":")[0]
-                if self._waived(module, decl.line,
-                                {RULE_DET_INVALID_ROOT.code}):
+                if self.waived(module, decl.line,
+                               {RULE_DET_INVALID_ROOT.code}):
                     continue
                 self.findings.append(RULE_DET_INVALID_ROOT.finding(
                     f"replay-root declaration on "
-                    f"{_readable(qualname)!r}: label {label!r} is "
+                    f"{readable(qualname)!r}: label {label!r} is "
                     f"already declared by "
-                    f"{_readable(holders[0])!r}; every root needs a "
+                    f"{readable(holders[0])!r}; every root needs a "
                     f"unique name",
-                    artifact=_readable(qualname),
-                    file=self._module_file(module), line=decl.line,
+                    artifact=readable(qualname),
+                    file=self.module_file(module), line=decl.line,
                 ))
         return declared
 
-    # -- propagation ---------------------------------------------------
-
-    def _trace(self, root: str) -> dict[DetFactKind,
-                                        tuple[DetFact, str]]:
-        """Shortest (fact, holder chain) per kind from a root.
-
-        Deterministic breadth-first search over resolved call edges;
-        ``module:<module>`` pseudo-nodes are not descended into (see
-        module docstring).
-        """
-        traces: dict[DetFactKind, tuple[DetFact, tuple[str, ...]]] = {}
-        seen = {root}
-        queue: deque[tuple[str, tuple[str, ...]]] = deque(
-            [(root, (root,))])
-        while queue:
-            current, chain = queue.popleft()
-            for fact in self.facts.get(current, ()):
-                if fact.kind not in traces:
-                    traces[fact.kind] = (fact, chain)
-            info = self.graph.functions.get(current)
-            if info is None:
-                continue
-            for callee, _ in sorted(info.calls):
-                if callee.endswith(":<module>") or callee in seen:
-                    continue
-                seen.add(callee)
-                queue.append((callee, chain + (callee,)))
-        return traces
-
-    def _root_findings(self, roots: dict[str, str]) -> None:
+    def _replay_root_findings(self, roots: dict[str, str]) -> None:
         for root, label in sorted(roots.items()):
-            info = self.graph.functions.get(root)
-            if info is None:
-                continue
             suffix = f" ({label})" if label else ""
-            traces = self._trace(root)
-            for kind in sorted(traces, key=lambda k: k.value):
-                rule = _PROPAGATED[kind]
-                fact, chain = traces[kind]
-                if self._waived(info.module, info.lineno,
-                                {rule.code}):
-                    continue
-                holder = self.graph.functions[chain[-1]]
-                fact_file = self._module_file(holder.module)
-                self.findings.append(rule.finding(
-                    f"replay root {_readable(root)!r}{suffix} "
-                    f"reaches {fact.description} via "
-                    f"{_render_chain(chain)} "
-                    f"({fact_file}:{fact.line}); re-serialisation "
-                    f"is not byte-stable",
-                    artifact=_readable(root),
-                    file=self._module_file(info.module),
-                    line=info.lineno,
-                ))
+            self.findings.extend(self.root_findings(
+                root, f"replay root {readable(root)!r}{suffix}",
+                artifact=readable(root),
+                tail="; re-serialisation is not byte-stable"))
 
     def run(self) -> list[Finding]:
         declared = self._declaration_findings()
         roots = self._registry_roots()
         for qualname, decl in declared.items():
             roots.setdefault(qualname, decl.label)
-        self._root_findings(roots)
+        self._replay_root_findings(roots)
         return sorted(self.findings, key=Finding.sort_key)
-
-
-def det_findings(graph: CallGraph) -> list[Finding]:
-    """All DAS401–DAS412 findings for one analysed tree."""
-    builder = _GraphBuilder(graph.modules)
-    rebuilt = builder.build()
-    return _DetAnalysis(rebuilt, builder).run()
 
 
 def lint_tree_det(root) -> list[Finding]:

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.lint.flow.callgraph import _ModuleScan
+from repro.lint.flow.reach import Fact
 from repro.lint.par.scan import (
     _RNG_CONSTRUCTORS,
     _root_name,
@@ -74,15 +75,6 @@ class DetFactKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DetFact:
-    """One direct instability inside one function."""
-
-    kind: DetFactKind
-    description: str
-    line: int
-
-
-@dataclass(frozen=True)
 class RootDecl:
     """One valid ``@replay_root(...)`` declaration."""
 
@@ -96,7 +88,7 @@ class ModuleDetScan:
     """Everything the det pass extracted from one module."""
 
     module: str
-    facts: dict[str, tuple[DetFact, ...]] = field(default_factory=dict)
+    facts: dict[str, tuple[Fact, ...]] = field(default_factory=dict)
     roots: dict[str, RootDecl] = field(default_factory=dict)
     #: Invalid declarations: (qualname, line, problem).
     root_errors: tuple[tuple[str, int, str], ...] = ()
@@ -164,14 +156,14 @@ class _DetFunctionFacts:
                     and node.func.id in _SANITIZERS):
                 for arg in node.args:
                     self.sanitized.add(id(arg))
-        self.facts: list[DetFact] = []
+        self.facts: list[Fact] = []
 
     def _add(self, kind: DetFactKind, description: str,
              line: int) -> None:
-        self.facts.append(DetFact(kind=kind, description=description,
-                                  line=line))
+        self.facts.append(Fact(kind=kind, description=description,
+                               line=line))
 
-    def run(self) -> tuple[DetFact, ...]:
+    def run(self) -> tuple[Fact, ...]:
         for node in ast.walk(self.funcdef):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 self._scan_iteration(node.iter, node.lineno,

@@ -3,10 +3,11 @@
 Where ``repro.lint.pycheck`` inspects one file one statement at a
 time, this package reasons over a whole source tree: a module/import
 graph (:mod:`modgraph`), a per-function call graph (:mod:`callgraph`),
-taint propagation that carries impurity facts to ``Analysis`` entry
-points (:mod:`taint`, rules ``DAS201``–``DAS207``), and a static
-dependency-closure extractor whose deterministic manifest is checked
-against the archive and the catalogues (:mod:`closure`,
+the one reachability engine every call-graph pass shares
+(:mod:`reach`), taint propagation that carries impurity facts to
+``Analysis`` entry points (:mod:`taint`, rules ``DAS201``–``DAS207``),
+and a static dependency-closure extractor whose deterministic manifest
+is checked against the archive and the catalogues (:mod:`closure`,
 :mod:`manifest`, rules ``DAS208``–``DAS212``).
 """
 
@@ -35,14 +36,12 @@ from repro.lint.flow.modgraph import (
     ModuleNode,
     build_module_graph,
 )
+from repro.lint.flow.reach import Fact
 from repro.lint.flow.taint import (
-    TaintFact,
     TaintKind,
-    TaintTrace,
     deep_findings,
     direct_facts,
     lint_tree_deep,
-    trace_from,
 )
 
 __all__ = [
@@ -50,12 +49,11 @@ __all__ = [
     "CallGraph",
     "ClassInfo",
     "ClosureManifest",
+    "Fact",
     "FunctionInfo",
     "ModuleGraph",
     "ModuleNode",
-    "TaintFact",
     "TaintKind",
-    "TaintTrace",
     "analyze_tree",
     "archive_closure_sources",
     "build_call_graph",
@@ -69,5 +67,4 @@ __all__ = [
     "extract_closure_from_graph",
     "lint_tree_deep",
     "source_module_payload",
-    "trace_from",
 ]

@@ -5,8 +5,9 @@ stands. This pass asks the question preservation actually cares about:
 *can an Analysis entry point reach that statement?* Direct facts are
 classified from the call graph's external events using the same tables
 the shallow pass uses, then propagated backwards along call and
-import edges. Findings fire on the entry point, carrying the full
-propagation chain in the message.
+import edges by the shared engine (:mod:`repro.lint.flow.reach`).
+Findings fire on the entry point, carrying the full propagation chain
+in the message.
 
 A fact whose source line is waived with ``# lint: ignore[...]`` — by
 the matching shallow code (``DAS001``…), the matching deep code
@@ -21,11 +22,10 @@ deep rules only report what at least one call or import edge hides.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass
 
 from repro.lint.findings import Finding
-from repro.lint.flow.callgraph import CallGraph, ClassInfo, analyze_tree
+from repro.lint.flow.callgraph import CallGraph, analyze_tree
+from repro.lint.flow.reach import Fact, FactFamily, Reachability
 from repro.lint.flow.rules import (
     RULE_CLOSURE_UNRESOLVED,
     RULE_DEEP_ENV,
@@ -41,7 +41,6 @@ from repro.lint.pycheck import (
     _OS_FILE_CALLS,
     _PATH_METHODS,
     _WALLCLOCK_CALLS,
-    _ignored_codes_by_line,
 )
 
 
@@ -66,15 +65,15 @@ _KIND_RULES = {
     TaintKind.GLOBAL_WRITE: (RULE_DEEP_GLOBAL_WRITE, "DAS006"),
 }
 
-
-@dataclass(frozen=True)
-class TaintFact:
-    """One direct impurity inside one function."""
-
-    kind: TaintKind
-    description: str
-    module: str
-    line: int
+#: Import-time impurity reaches an entry point too; a hazard in the
+#: entry method itself is left to the shallow rules.
+_FAMILY = FactFamily(
+    rules={kind: rule for kind, (rule, _) in _KIND_RULES.items()},
+    waiver_codes={kind: {rule.code, shallow}
+                  for kind, (rule, shallow) in _KIND_RULES.items()},
+    follow_imports=True,
+    count_root=False,
+)
 
 
 def _classify_call(dotted: str, has_args: bool) -> tuple | None:
@@ -137,29 +136,17 @@ def _classify_event(event: tuple) -> tuple | None:
     return None
 
 
-def direct_facts(graph: CallGraph) -> dict[str, tuple[TaintFact, ...]]:
-    """Per-function direct impurity facts, with waivers applied."""
-    waivers: dict[str, dict] = {}
-    for name, node in graph.modules.modules.items():
-        waivers[name] = _ignored_codes_by_line(node.source)
-    facts: dict[str, tuple[TaintFact, ...]] = {}
+def _classified(graph: CallGraph) -> dict[str, tuple[Fact, ...]]:
+    """Per-function direct impurity facts, before waivers."""
+    facts: dict[str, tuple[Fact, ...]] = {}
     for qualname, info in graph.functions.items():
-        found: list[TaintFact] = []
+        found: list[Fact] = []
         for event in info.events:
             classified = _classify_event(event)
-            if classified is None:
-                continue
-            kind, description = classified
-            line = event[2]
-            waived = waivers.get(info.module, {})
-            if line in waived:
-                codes = waived[line]
-                deep_rule, shallow_code = _KIND_RULES[kind]
-                if codes is None or {shallow_code,
-                                     deep_rule.code} & codes:
-                    continue
-            found.append(TaintFact(kind=kind, description=description,
-                                   module=info.module, line=line))
+            if classified is not None:
+                kind, description = classified
+                found.append(Fact(kind=kind, description=description,
+                                  line=event[2]))
         if found:
             facts[qualname] = tuple(sorted(
                 found, key=lambda f: (f.line, f.kind.value,
@@ -167,95 +154,35 @@ def direct_facts(graph: CallGraph) -> dict[str, tuple[TaintFact, ...]]:
     return facts
 
 
-@dataclass(frozen=True)
-class TaintTrace:
-    """One witness chain from an entry point to a direct fact."""
-
-    entry: str  # entry method qualname
-    fact: TaintFact
-    chain: tuple[str, ...]  # qualnames, entry first, fact holder last
-
-    def render_chain(self) -> str:
-        """`a.f -> b.g -> c.h` with graph qualnames made readable."""
-        return " -> ".join(part.replace(":<module>", " (import)")
-                            .replace(":", ".")
-                           for part in self.chain)
+def _reachability(graph: CallGraph) -> Reachability:
+    return Reachability(graph, _FAMILY, _classified(graph))
 
 
-def trace_from(graph: CallGraph,
-               facts: dict[str, tuple[TaintFact, ...]],
-               entry: str) -> list[TaintTrace]:
-    """Shortest witness chain per taint kind reachable from ``entry``.
-
-    Deterministic breadth-first search: neighbours are visited in
-    sorted order, so equal-length chains always resolve the same way.
-    """
-    if entry not in graph.functions:
-        return []
-    traces: dict[TaintKind, TaintTrace] = {}
-    seen = {entry}
-    queue: deque[tuple[str, tuple[str, ...]]] = deque(
-        [(entry, (entry,))])
-    while queue:
-        current, chain = queue.popleft()
-        for fact in facts.get(current, ()):
-            if fact.kind not in traces and len(chain) > 1:
-                traces[fact.kind] = TaintTrace(
-                    entry=entry, fact=fact, chain=chain)
-        info = graph.functions.get(current)
-        if info is None:
-            continue
-        for callee, _ in sorted(info.calls):
-            if callee not in seen:
-                seen.add(callee)
-                queue.append((callee, chain + (callee,)))
-    return [traces[kind] for kind in sorted(traces,
-                                            key=lambda k: k.value)]
-
-
-def _entry_findings(graph: CallGraph,
-                    facts: dict[str, tuple[TaintFact, ...]],
-                    entry: ClassInfo,
-                    waivers: dict[str, dict]) -> list[Finding]:
-    findings: list[Finding] = []
-    reported: set[tuple[str, TaintKind]] = set()
-    node = graph.modules.modules.get(entry.module)
-    file = node.path if node is not None else ""
-    for method_qualname in graph.entry_methods(entry):
-        method = method_qualname.rpartition(".")[2]
-        for trace in trace_from(graph, facts, method_qualname):
-            if (entry.qualname, trace.fact.kind) in reported:
-                continue
-            reported.add((entry.qualname, trace.fact.kind))
-            rule, _ = _KIND_RULES[trace.fact.kind]
-            fact_node = graph.modules.modules.get(trace.fact.module)
-            fact_file = (fact_node.path if fact_node is not None
-                         else trace.fact.module)
-            lineno = graph.functions[method_qualname].lineno
-            line_waivers = waivers.get(entry.module, {})
-            if lineno in line_waivers:
-                codes = line_waivers[lineno]
-                if codes is None or rule.code in codes:
-                    continue
-            findings.append(rule.finding(
-                f"analysis {entry.name!r}: {method}() reaches "
-                f"{trace.fact.description} via {trace.render_chain()} "
-                f"({fact_file}:{trace.fact.line})",
-                artifact=entry.name, file=file, line=lineno,
-            ))
-    return findings
+def direct_facts(graph: CallGraph) -> dict[str, tuple[Fact, ...]]:
+    """Per-function direct impurity facts, with waivers applied."""
+    return _reachability(graph).facts
 
 
 def deep_findings(graph: CallGraph) -> list[Finding]:
-    """All DAS201–DAS207 findings for one analysed tree."""
-    facts = direct_facts(graph)
-    waivers = {name: _ignored_codes_by_line(node.source)
-               for name, node in graph.modules.modules.items()}
+    """All DAS201–DAS207 findings for one analysed tree.
+
+    Each Analysis class reports each impurity kind once, at the first
+    entry method (in ``ANALYSIS_ENTRY_METHODS`` order) that reaches it
+    and is not waived at its definition line.
+    """
+    reach = _reachability(graph)
     findings: list[Finding] = []
     for entry in graph.analysis_entries():
-        findings.extend(_entry_findings(graph, facts, entry, waivers))
-    wanted = set(graph.modules.targets)
-    for name in sorted(wanted):
+        reported: set[str] = set()
+        for qualname in graph.entry_methods(entry):
+            method = qualname.rpartition(".")[2]
+            for finding in reach.root_findings(
+                    qualname, f"analysis {entry.name!r}: {method}()",
+                    artifact=entry.name):
+                if finding.code not in reported:
+                    reported.add(finding.code)
+                    findings.append(finding)
+    for name in sorted(set(graph.modules.targets)):
         node = graph.modules.modules[name]
         for rendered, line in node.unresolved_imports:
             findings.append(RULE_CLOSURE_UNRESOLVED.finding(

@@ -7,11 +7,10 @@ equivalence tiers. Built on the flow layer's module/call graphs; run
 via ``repro lint --par`` (and as part of ``--deep``).
 """
 
-from repro.lint.par.analysis import lint_tree_par, par_findings
+from repro.lint.par.analysis import lint_tree_par
 from repro.lint.par.scan import (
     DispatchSite,
     ModuleParScan,
-    ParFact,
     ParFactKind,
     TierDecl,
     scan_par_module,
@@ -20,10 +19,8 @@ from repro.lint.par.scan import (
 __all__ = [
     "DispatchSite",
     "ModuleParScan",
-    "ParFact",
     "ParFactKind",
     "TierDecl",
     "lint_tree_par",
-    "par_findings",
     "scan_par_module",
 ]

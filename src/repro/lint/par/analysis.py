@@ -17,22 +17,21 @@ build is not a parallel hazard.
 in-place mutation or aliasing of caller buffers at any tier, no random
 draws or order-sensitive reductions at the ``exact`` tier.
 
-Findings carry the full shortest witness chain, like DAS2xx. Waivers
-work the usual way: ``# lint: ignore[DAS3nn]`` at the hazard line
-kills every chain through it, a waiver at the worker (or kernel)
-definition line kills the finding itself. Unlike the deep pass,
-chains of length one are reported — there is no shallow DAS3xx
-equivalent to defer to.
+Chains and waivers follow the shared reachability contract
+(:mod:`repro.lint.flow.reach`). Unlike the deep pass, a hazard in the
+worker itself is reported — there is no shallow DAS3xx equivalent to
+defer to. Kernel findings have no chain: only a waiver at the hazard
+line silences them.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 
 from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, _GraphBuilder
 from repro.lint.flow.modgraph import build_module_graph
+from repro.lint.flow.reach import FactFamily, Reachability, readable
 from repro.lint.par.rules import (
     RULE_PAR_ARG_ATTR_WRITE,
     RULE_PAR_EXACT_RNG,
@@ -50,11 +49,10 @@ from repro.lint.par.rules import (
 from repro.lint.par.scan import (
     DispatchSite,
     ModuleParScan,
-    ParFact,
     ParFactKind,
     scan_par_module,
 )
-from repro.lint.pycheck import _dotted_name, _ignored_codes_by_line
+from repro.lint.pycheck import _dotted_name
 
 #: Hazards that travel along call edges to a worker root.
 _PROPAGATED = {
@@ -97,50 +95,25 @@ _KIND_CODES = {
 }
 
 
-def _readable(qualname: str) -> str:
-    return qualname.replace(":<module>", " (import)").replace(":", ".")
+#: Import-time work is serialised by the import lock (see module
+#: docstring); a hazard in the worker itself runs in the pool.
+_FAMILY = FactFamily(rules=_PROPAGATED, waiver_codes=_KIND_CODES,
+                     follow_imports=False, count_root=True)
 
 
-def _render_chain(chain: tuple[str, ...]) -> str:
-    return " -> ".join(_readable(part) for part in chain)
-
-
-class _ParAnalysis:
+class _ParAnalysis(Reachability):
     """One par pass over one built call graph."""
 
     def __init__(self, graph: CallGraph,
                  builder: _GraphBuilder) -> None:
-        self.graph = graph
         self.builder = builder
-        self.waivers = {
-            name: _ignored_codes_by_line(node.source)
-            for name, node in graph.modules.modules.items()
-            if not node.parse_error}
         self.par_scans: dict[str, ModuleParScan] = {
             name: scan_par_module(name, scan)
             for name, scan in sorted(builder.scans.items())}
-        self.facts: dict[str, tuple[ParFact, ...]] = {}
-        for name, par_scan in self.par_scans.items():
-            for qualname, found in par_scan.facts.items():
-                kept = tuple(
-                    fact for fact in found
-                    if not self._waived(name, fact.line,
-                                        _KIND_CODES[fact.kind]))
-                if kept:
-                    self.facts[qualname] = kept
+        super().__init__(graph, _FAMILY, {
+            qualname: found for par_scan in self.par_scans.values()
+            for qualname, found in par_scan.facts.items()})
         self.findings: list[Finding] = []
-
-    def _waived(self, module: str, line: int,
-                codes: set[str]) -> bool:
-        table = self.waivers.get(module, {})
-        if line not in table:
-            return False
-        waived = table[line]
-        return waived is None or bool(waived & codes)
-
-    def _module_file(self, module: str) -> str:
-        node = self.graph.modules.modules.get(module)
-        return node.path if node is not None else module
 
     # -- worker roots --------------------------------------------------
 
@@ -211,74 +184,26 @@ class _ParAnalysis:
 
     def _unpicklable_finding(self, site: DispatchSite,
                              description: str) -> None:
-        if self._waived(site.module, site.line,
-                        {RULE_PAR_UNPICKLABLE.code}):
+        if self.waived(site.module, site.line,
+                       {RULE_PAR_UNPICKLABLE.code}):
             return
         self.findings.append(RULE_PAR_UNPICKLABLE.finding(
             f"{site.dispatcher}() dispatches {description} as a "
             f"parallel worker; process pools cannot pickle it, so "
             f"the call dies under mode='process' only",
-            artifact=_readable(site.caller),
-            file=self._module_file(site.module), line=site.line,
+            artifact=readable(site.caller),
+            file=self.module_file(site.module), line=site.line,
         ))
-
-    # -- propagation ---------------------------------------------------
-
-    def _trace(self, root: str) -> dict[ParFactKind,
-                                        tuple[ParFact, str]]:
-        """Shortest (fact, holder chain) per hazard kind from a root.
-
-        Deterministic breadth-first search over resolved call edges;
-        ``module:<module>`` pseudo-nodes are not descended into (see
-        module docstring).
-        """
-        traces: dict[ParFactKind, tuple[ParFact, tuple[str, ...]]] = {}
-        seen = {root}
-        queue: deque[tuple[str, tuple[str, ...]]] = deque(
-            [(root, (root,))])
-        while queue:
-            current, chain = queue.popleft()
-            for fact in self.facts.get(current, ()):
-                if fact.kind not in traces:
-                    traces[fact.kind] = (fact, chain)
-            info = self.graph.functions.get(current)
-            if info is None:
-                continue
-            for callee, _ in sorted(info.calls):
-                if callee.endswith(":<module>") or callee in seen:
-                    continue
-                seen.add(callee)
-                queue.append((callee, chain + (callee,)))
-        return traces
 
     def _worker_findings(self) -> None:
         for root, sites in sorted(self._worker_roots().items()):
-            info = self.graph.functions.get(root)
-            if info is None:
-                continue
             site = sites[0]
-            traces = self._trace(root)
-            for kind in sorted(traces, key=lambda k: k.value):
-                rule = _PROPAGATED.get(kind)
-                if rule is None:
-                    continue
-                fact, chain = traces[kind]
-                if self._waived(info.module, info.lineno,
-                                {rule.code}):
-                    continue
-                holder = self.graph.functions[chain[-1]]
-                fact_file = self._module_file(holder.module)
-                self.findings.append(rule.finding(
-                    f"parallel worker {_readable(root)!r} "
-                    f"(dispatched by {site.dispatcher}() at "
-                    f"{self._module_file(site.module)}:{site.line}) "
-                    f"reaches {fact.description} via "
-                    f"{_render_chain(chain)} "
-                    f"({fact_file}:{fact.line})",
-                    artifact=_readable(root),
-                    file=self._module_file(info.module),
-                    line=info.lineno,
-                ))
+            self.findings.extend(self.root_findings(
+                root,
+                f"parallel worker {readable(root)!r} (dispatched by "
+                f"{site.dispatcher}() at "
+                f"{self.module_file(site.module)}:{site.line})",
+                artifact=readable(root)))
 
     # -- kernels -------------------------------------------------------
 
@@ -287,15 +212,15 @@ class _ParAnalysis:
             par_scan = self.par_scans.get(module)
             if par_scan is None:
                 continue
-            file = self._module_file(module)
+            file = self.module_file(module)
             for qualname, line, problem in par_scan.tier_errors:
-                if self._waived(module, line,
-                                {RULE_PAR_INVALID_TIER.code}):
+                if self.waived(module, line,
+                               {RULE_PAR_INVALID_TIER.code}):
                     continue
                 self.findings.append(RULE_PAR_INVALID_TIER.finding(
                     f"equivalence-tier declaration on "
-                    f"{_readable(qualname)!r}: {problem}",
-                    artifact=_readable(qualname), file=file,
+                    f"{readable(qualname)!r}: {problem}",
+                    artifact=readable(qualname), file=file,
                     line=line,
                 ))
             for qualname, decl in sorted(par_scan.tiers.items()):
@@ -309,9 +234,9 @@ class _ParAnalysis:
                     reported.add(rule.code)
                     self.findings.append(rule.finding(
                         f"{decl.tier}-tier kernel "
-                        f"{_readable(qualname)!r} has "
+                        f"{readable(qualname)!r} has "
                         f"{fact.description} ({file}:{fact.line})",
-                        artifact=_readable(qualname), file=file,
+                        artifact=readable(qualname), file=file,
                         line=fact.line,
                     ))
 
@@ -319,13 +244,6 @@ class _ParAnalysis:
         self._worker_findings()
         self._kernel_findings()
         return sorted(self.findings, key=Finding.sort_key)
-
-
-def par_findings(graph: CallGraph) -> list[Finding]:
-    """All DAS301–DAS312 findings for one analysed tree."""
-    builder = _GraphBuilder(graph.modules)
-    rebuilt = builder.build()
-    return _ParAnalysis(rebuilt, builder).run()
 
 
 def lint_tree_par(root) -> list[Finding]:

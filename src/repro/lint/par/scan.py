@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.columnar.tiers import EQUIVALENCE_TIERS
 from repro.lint.flow.callgraph import _MUTATOR_METHODS, _ModuleScan
+from repro.lint.flow.reach import Fact
 from repro.lint.pycheck import _NUMPY_RANDOM_SAFE, _dotted_name
 from repro.runtime.workers import WorkerDispatch, dispatch_for
 
@@ -65,15 +66,6 @@ class ParFactKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ParFact:
-    """One direct hazard inside one function."""
-
-    kind: ParFactKind
-    description: str
-    line: int
-
-
-@dataclass(frozen=True)
 class TierDecl:
     """One valid ``@equivalence_tier(...)`` declaration."""
 
@@ -104,7 +96,7 @@ class ModuleParScan:
     """Everything the par pass extracted from one module."""
 
     module: str
-    facts: dict[str, tuple[ParFact, ...]] = field(default_factory=dict)
+    facts: dict[str, tuple[Fact, ...]] = field(default_factory=dict)
     tiers: dict[str, TierDecl] = field(default_factory=dict)
     #: Invalid declarations: (qualname, line, problem).
     tier_errors: tuple[tuple[str, int, str], ...] = ()
@@ -194,14 +186,14 @@ class _FunctionFacts:
         self.globals_: set[str] = {
             name for node in ast.walk(funcdef)
             if isinstance(node, ast.Global) for name in node.names}
-        self.facts: list[ParFact] = []
+        self.facts: list[Fact] = []
 
     def _add(self, kind: ParFactKind, description: str,
              line: int) -> None:
-        self.facts.append(ParFact(kind=kind, description=description,
-                                  line=line))
+        self.facts.append(Fact(kind=kind, description=description,
+                               line=line))
 
-    def run(self) -> tuple[ParFact, ...]:
+    def run(self) -> tuple[Fact, ...]:
         for node, in_loop in _walk_with_loops(self.funcdef):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 self._scan_store(node, in_loop)

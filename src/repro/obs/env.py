@@ -42,6 +42,9 @@ def capture_environment(*, deterministic: bool = False) -> dict:
         "host": platform.node(),
         "cpu_count": os.cpu_count() or 1,
         "started_at": ("" if deterministic
+                       # lint: ignore[DAS001] -- recording when the run
+                       # started is this field's job; deterministic
+                       # captures leave it empty
                        else time.strftime("%Y-%m-%dT%H:%M:%S%z")),
     }
 

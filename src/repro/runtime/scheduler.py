@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.errors import ExecutionError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, active
+from repro.runtime.clock import MonotonicClock
 from repro.runtime.policy import ExecutionPolicy
 
 #: Seeds are kept inside the range every stdlib / numpy RNG accepts.
@@ -167,15 +167,16 @@ def _parallel_map_observed(
     """The instrumented pooled path of :func:`parallel_map`."""
     results: list = []
     busy = 0.0
+    clock = MonotonicClock()
     with obs.span("runtime.parallel_map", n_items=len(work),
                   n_chunks=len(chunks), mode=policy.mode,
                   n_jobs=policy.n_jobs) as outer:
-        started = time.monotonic()
+        started = clock.now()
         with _make_executor(policy) as executor:
             submissions = []
             for index, chunk in enumerate(chunks):
                 submissions.append((
-                    time.monotonic(),
+                    clock.now(),
                     executor.submit(_apply_chunk_observed, fn, index,
                                     chunk),
                 ))
@@ -197,7 +198,7 @@ def _parallel_map_observed(
                 # granularity can make tiny waits read negative).
                 metrics.histogram("runtime.queue_wait_seconds").observe(
                     max(0.0, chunk_span.start - submitted_at))
-        elapsed = time.monotonic() - started
+        elapsed = clock.now() - started
         if metrics is not None:
             metrics.counter("runtime.items").inc(len(work))
             metrics.counter("runtime.chunks").inc(len(chunks))

@@ -188,6 +188,48 @@ class TestTaintKinds:
         assert any(f.code == "DAS001" for f in shallow)
 
 
+class TestEntryWaiverScope:
+    """A def-line waiver on one entry method silences that method only."""
+
+    TREE = {
+        "base.py": BASE,
+        "analysis.py": """
+            from base import Analysis
+            import util
+
+            class ClockAnalysis(Analysis):
+                def analyze(self, event):  # lint: ignore[DAS201]
+                    return util.clock_offset()
+
+                def finalize(self):
+                    return util.clock_offset()
+        """,
+        "util.py": UTIL,
+    }
+
+    def test_waiver_does_not_leak_to_sibling_entry_methods(self,
+                                                           tmp_path):
+        write_tree(tmp_path, self.TREE)
+        findings = lint_tree_deep(tmp_path)
+        assert [f.code for f in findings] == ["DAS201"]
+        source = (tmp_path / "analysis.py").read_text(encoding="utf-8")
+        finalize_line = next(
+            i for i, text in enumerate(source.splitlines(), 1)
+            if "def finalize" in text)
+        assert findings[0].line == finalize_line
+        assert "finalize() reaches" in findings[0].message
+
+    def test_unwaived_class_reports_once_per_kind(self, tmp_path):
+        write_tree(tmp_path, {
+            **self.TREE,
+            "analysis.py": self.TREE["analysis.py"].replace(
+                "  # lint: ignore[DAS201]", ""),
+        })
+        findings = lint_tree_deep(tmp_path)
+        assert [f.code for f in findings] == ["DAS201"]
+        assert "analyze() reaches" in findings[0].message
+
+
 class TestUnresolvedImports:
     def test_das207_on_unresolvable_relative_import(self, tmp_path):
         write_tree(tmp_path, {

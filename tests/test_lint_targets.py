@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.archive import PreservationArchive
 from repro.core.metadata import PreservationMetadata
-from repro.lint import classify_document, lint_path
+from repro.lint import LintConfig, classify_document, lint_path
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: The suppressions the CI self-lint job runs with, reasons verbatim.
+SELF_LINT_SUPPRESSIONS = {
+    "DAS004": "the CLI and dataset writers are the file-IO layer; "
+              "direct file access is their purpose",
+    "DAS006": "module-level registries and lookup tables are "
+              "intentional, read-only library structure",
+    "DAS007": "validation and capture harnesses catch broadly to "
+              "convert failures into recorded outcomes",
+}
 
 
 def _metadata(title: str) -> PreservationMetadata:
@@ -123,6 +136,13 @@ class TestClassification:
     def test_closure_manifest_is_not_misclassified(self):
         record = {"format": "repro-closure-manifest", "analyses": []}
         assert classify_document(record) == "unknown"
+
+
+class TestSelfLint:
+    def test_src_repro_passes_its_own_shallow_lint(self):
+        config = LintConfig(suppressions=SELF_LINT_SUPPRESSIONS)
+        findings = config.apply(lint_path(REPO_SRC))
+        assert [f"{f.location()}: {f.code}" for f in findings] == []
 
 
 if __name__ == "__main__":
