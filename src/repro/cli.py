@@ -99,10 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     process.add_argument("--jobs", type=int, default=1,
                          help="worker processes for reconstruction "
                               "(default 1 = serial; -1 = all CPUs)")
-    process.add_argument("--columnar", action="store_true",
-                         help="reconstruct through the columnar "
-                              "engine (bit-identical output; "
-                              "takes precedence over --jobs)")
     _add_trace_arguments(process)
 
     campaign = sub.add_parser(
@@ -132,9 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the run sweep "
                                "(default 1 = serial; -1 = all CPUs)")
-    campaign.add_argument("--columnar", action="store_true",
-                          help="process each run through the columnar "
-                               "engine (bit-identical output)")
     campaign.add_argument("--output", required=True,
                           help="AOD output file (JSON lines)")
     campaign.add_argument("--manifest",
@@ -416,12 +409,8 @@ def _cmd_process(args) -> int:
             for record in reader.records()]
     policy = ExecutionPolicy.from_jobs(args.jobs)
     tracer, obs_metrics = _trace_context(args, "process")
-    if getattr(args, "columnar", False):
-        recos = reconstructor.reconstruct_batch(
-            raws, tracer=tracer, metrics=obs_metrics)
-    else:
-        recos = reconstructor.reconstruct_many(
-            raws, policy, tracer=tracer, metrics=obs_metrics)
+    recos = reconstructor.reconstruct_many(
+        raws, policy, tracer=tracer, metrics=obs_metrics)
     aods = [make_aod(reco) for reco in recos]
     header = write_dataset(
         args.output, f"aod-run{args.run}", DataTier.AOD,
@@ -478,7 +467,6 @@ def _cmd_campaign(args) -> int:
         events_per_section=args.events_per_section,
         max_events_per_run=args.max_events_per_run,
         seed=args.seed,
-        columnar=getattr(args, "columnar", False),
     )
     policy = ExecutionPolicy.from_jobs(args.jobs)
     tracer, obs_metrics = _trace_context(args, "campaign")

@@ -1,18 +1,23 @@
-"""Columnar structure-of-arrays event engine.
+"""Columnar structure-of-arrays kernels for batch work on many events.
 
-``repro.columnar`` is the throughput layer of the library: numpy-backed
-four-vector arrays (:class:`FourVectorArray`), jagged per-event object
-containers (:class:`EventBatch`), vectorised skim/slim evaluation
-(:func:`apply_skim` / :func:`apply_slim`), matrix-based candidate-object
-building (:class:`ColumnarObjectBuilder`), and phase-streamed batch
-simulation/digitisation kernels (:mod:`repro.columnar.kernels`).
+``repro.columnar`` holds the numpy kernels that beat their per-event
+counterparts when a whole sample is at hand: four-vector arrays
+(:class:`FourVectorArray`), jagged per-event object containers
+(:class:`EventBatch`), vectorised skim/slim evaluation
+(:func:`cut_mask`, :func:`apply_skim`, :func:`apply_slim`), and
+phase-streamed batch simulation/digitisation kernels
+(:mod:`repro.columnar.kernels`). It is a library for analysis-side
+batch processing, not a second physics chain: RAW becomes RECO only
+through :meth:`repro.reconstruction.Reconstructor.reconstruct`, and
+no workflow, RECAST back end or CLI command switches to these kernels.
 
-The engine's contract is *equivalence*, not approximation: every kernel
-declares whether it is bit-identical to the scalar path, identical up
-to one ulp on transcendental-function outputs, or (for re-phased random
-draws) statistically equivalent — via :func:`equivalence_tier` from
-:mod:`repro.columnar.tiers` — and both the equivalence test suites and
-the ``repro lint --par`` static analyzer enforce each tier.
+Every kernel declares how close it stays to the scalar code it mirrors
+with :func:`equivalence_tier` from :mod:`repro.columnar.tiers`:
+bit-identical (``exact``), identical up to one ulp on
+transcendental-function outputs (``ulp``), or, for re-phased random
+draws, drawn from the same distributions (``statistical``). The
+equivalence test suites and the ``repro lint --par`` analyzer both
+check each declaration.
 """
 
 from repro.columnar.batch import EventBatch, JaggedCollection
@@ -29,7 +34,6 @@ from repro.columnar.kernels import (
     digitize_batch,
     simulate_batch,
 )
-from repro.columnar.objects import ColumnarObjectBuilder, delta_r_matrix
 from repro.columnar.select import (
     apply_skim,
     apply_slim,
@@ -45,7 +49,6 @@ from repro.columnar.tiers import (
 )
 
 __all__ = [
-    "ColumnarObjectBuilder",
     "EQUIVALENCE_TIERS",
     "EventBatch",
     "FourVectorArray",
@@ -58,7 +61,6 @@ __all__ = [
     "declared_tiers",
     "delta_phi_array",
     "delta_r_array",
-    "delta_r_matrix",
     "derived_columns",
     "digitize_batch",
     "equivalence_tier",

@@ -362,17 +362,6 @@ class Digitizer:
         """Digitise a list of simulated events in order."""
         return [self.digitize(event) for event in sim_events]
 
-    def digitize_many_batch(
-            self, sim_events: list[SimulatedEvent]) -> list[RawEvent]:
-        """Columnar twin of :meth:`digitize_many`: random draws are
-        batched per phase (see :mod:`repro.columnar.kernels`), so output
-        is statistically — not bitwise — equivalent to the scalar path.
-        Advances the bunch-crossing counter exactly as the scalar loop.
-        """
-        from repro.columnar.kernels import digitize_batch
-
-        return digitize_batch(self, sim_events)
-
     def describe(self) -> dict:
         """Provenance description of the digitiser configuration."""
         return {

@@ -270,16 +270,6 @@ class DetectorSimulation:
         """Simulate a list of events in order."""
         return [self.simulate(event) for event in events]
 
-    def simulate_many_batch(self,
-                            events: list[GenEvent]) -> list[SimulatedEvent]:
-        """Columnar twin of :meth:`simulate_many`: random draws are
-        batched per phase (see :mod:`repro.columnar.kernels`), so output
-        is statistically — not bitwise — equivalent to the scalar path.
-        """
-        from repro.columnar.kernels import simulate_batch
-
-        return simulate_batch(self, events)
-
     def describe(self) -> dict:
         """Provenance description of the simulation configuration."""
         return {

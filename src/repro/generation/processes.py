@@ -470,10 +470,16 @@ class ZPrimeResonance(Process):
 
     def __init__(self, mass: float = 1500.0, width: float | None = None,
                  flavour: str = "mu", cross_section_pb: float = 0.05) -> None:
-        if mass <= 200.0:
+        # Written so that NaN fails the test instead of passing it; an
+        # infinite mass has no name (``int(mass)``) and no peak.
+        if not 200.0 < mass < math.inf:
             raise GenerationError(
-                f"Z' mass must exceed 200 GeV for a clean search, got {mass}"
+                f"Z' mass must be finite and exceed 200 GeV for a clean "
+                f"search, got {mass}"
             )
+        if flavour not in ("e", "mu"):
+            raise GenerationError(
+                f"unsupported Z' decay flavour {flavour!r}")
         self.mass = mass
         self.width = width if width is not None else 0.03 * mass
         self.flavour = flavour

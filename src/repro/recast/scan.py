@@ -9,7 +9,6 @@ module drives any :class:`RecastBackend` across a parameter grid.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -136,7 +135,6 @@ def run_mass_scan(
     flavour: str = "mu",
     policy: ExecutionPolicy | None = None,
     *,
-    columnar: bool = False,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ExclusionScan:
@@ -145,12 +143,6 @@ def run_mass_scan(
     A parallel ``policy`` evaluates mass points concurrently; the scan's
     point list (and every limit derived from it) is identical to the
     serial scan — points land in grid order, one per requested mass.
-
-    ``columnar=True`` asks the back end to process each point through
-    the columnar engine (batch reconstruction, vectorised selection).
-    Selected-event counts — and therefore limits — are identical to the
-    per-event path; only throughput changes. The flag is applied to a
-    shallow copy, so the caller's backend is untouched.
 
     An enabled ``tracer`` records a ``recast.mass_scan`` span over the
     grid (per-chunk worker spans nest below it); ``metrics`` counts
@@ -161,9 +153,6 @@ def run_mass_scan(
     """
     if not masses:
         raise RecastError("scan needs at least one mass point")
-    if columnar:
-        backend = copy.copy(backend)
-        backend.columnar = True
     obs = active(tracer)
     worker = functools.partial(_evaluate_scan_point, backend, search,
                                cross_section_pb, flavour)

@@ -210,8 +210,10 @@ class ObjectBuilder:
 
     @staticmethod
     def _delta_r(eta1: float, phi1: float, eta2: float, phi2: float) -> float:
-        # sqrt-of-squares, not hypot: keeps this bit-identical to the
-        # vectorised delta_r matrices in repro.columnar.objects.
+        # sqrt-of-squares, not hypot: the two can differ in the last
+        # bit, and a one-ulp shift at a matching or isolation cone edge
+        # changes which objects are built. The AOD digests in
+        # tests/test_chain_golden.py pin this form.
         d_eta = eta1 - eta2
         d_phi = delta_phi(phi1, phi2)
         return math.sqrt(d_eta * d_eta + d_phi * d_phi)

@@ -94,6 +94,8 @@ def cls_upper_limit(
         raise StatsError(
             "cannot set a limit with zero signal efficiency"
         )
+    if n_toys < 1:
+        raise StatsError(f"n_toys must be at least 1, got {n_toys}")
     rng = np.random.default_rng(seed)
     alpha = 1.0 - confidence_level
 

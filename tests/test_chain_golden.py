@@ -22,7 +22,16 @@ import pytest
 
 from repro.conditions import default_conditions
 from repro.core.canonical import canonical_json
-from repro.datamodel import make_aod
+from repro.datamodel import (
+    AndCut,
+    CountCut,
+    GoodRunList,
+    MassWindowCut,
+    RunRecord,
+    RunRegistry,
+    SkimSpec,
+    make_aod,
+)
 from repro.detector import (
     DetectorSimulation,
     Digitizer,
@@ -32,7 +41,10 @@ from repro.detector import (
 from repro.detector.simulation import SimulationConfig
 from repro.generation import GeneratorConfig, ToyGenerator
 from repro.generation import processes as proc
+from repro.recast import FullChainBackend, PreservedSearch
+from repro.recast.scan import run_mass_scan
 from repro.reconstruction import GlobalTagView, Reconstructor
+from repro.workflow import ProcessingCampaign
 
 N_EVENTS = 20
 
@@ -142,3 +154,80 @@ def test_chain_digests_are_pinned(name):
     expected_raw, expected_aod = GOLDEN[name]
     assert raw == expected_raw, f"{name}: RAW records changed"
     assert aod == expected_aod, f"{name}: AOD records changed"
+
+
+# The cases above drive the chain stage by stage. The two below pin the
+# library's own drivers of it — a multi-run processing campaign and a
+# full-chain RECAST mass scan — so a change to how they wire the stages
+# (per-run seeds, conditions views, selection, limits) changes a digest.
+
+#: SHA-256 of a 2-run campaign's AOD records plus its conditions
+#: manifest, one canonical JSON line each.
+CAMPAIGN_GOLDEN = (
+    "04e31db623deb3436d085ccdc8f4db0a5aad988d2021214c00af8cf6ef14fdff")
+
+#: SHA-256 of a 2-point full-chain mass scan: per-point ``n_selected``
+#: and the ``(mass, limit)`` pairs.
+SCAN_GOLDEN = (
+    "4704e36bdbca7969e7057f93a88a74fe0b07e0ec16e18397134c9e64c193a547")
+
+
+def run_campaign_case() -> str:
+    """Process two certified runs; digest AODs and conditions manifest."""
+    registry = RunRegistry("RunA")
+    registry.add(RunRecord(5, 60, 0.5))
+    registry.add(RunRecord(25, 80, 0.5))
+    good_runs = GoodRunList("GRL")
+    good_runs.certify(5, 1, 60)
+    good_runs.certify(25, 1, 80)
+    campaign = ProcessingCampaign(
+        name="Reco-v1",
+        geometry=generic_lhc_detector(),
+        conditions=default_conditions(),
+        global_tag="GT-FINAL",
+        generator=ToyGenerator(GeneratorConfig(
+            processes=[proc.DrellYanZ()], seed=6100)),
+        events_per_section=0.3,
+        max_events_per_run=20,
+    )
+    campaign.process(registry, good_runs)
+    digest = hashlib.sha256()
+    for aod in campaign.all_aods():
+        digest.update(canonical_json(aod.to_dict()) + b"\n")
+    digest.update(canonical_json(campaign.conditions_manifest()) + b"\n")
+    return digest.hexdigest()
+
+
+def run_scan_case() -> str:
+    """Scan two Z' masses through the full chain; digest counts + limits."""
+    search = PreservedSearch(
+        analysis_id="GPD-EXO-01",
+        title="High-mass dimuon search",
+        experiment="GPD",
+        selection=SkimSpec("highmass", AndCut((
+            CountCut("muons", 2, min_pt=30.0),
+            MassWindowCut("muons", 500.0, 1e9, opposite_charge=True),
+        ))),
+        n_observed=3,
+        background=2.5,
+        background_uncertainty=0.6,
+        luminosity_ipb=20000.0,
+    )
+    backend = FullChainBackend("GPD", n_events=80, n_limit_toys=400,
+                               seed=900)
+    scan = run_mass_scan(backend, search, [800.0, 1500.0])
+    payload = {
+        "n_selected": [p.result.n_selected for p in scan.points],
+        "limits": scan.limits(),
+    }
+    return hashlib.sha256(canonical_json(payload)).hexdigest()
+
+
+def test_campaign_digest_is_pinned():
+    assert run_campaign_case() == CAMPAIGN_GOLDEN, \
+        "campaign AODs or conditions manifest changed"
+
+
+def test_mass_scan_digest_is_pinned():
+    assert run_scan_case() == SCAN_GOLDEN, \
+        "full-chain mass scan counts or limits changed"

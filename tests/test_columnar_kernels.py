@@ -23,6 +23,8 @@ from repro.columnar.kernels import (
     DIGITIZATION_PHASES,
     SIMULATION_PHASES,
     batch_stream,
+    digitize_batch,
+    simulate_batch,
 )
 from repro.detector import DetectorSimulation, Digitizer
 from repro.generation import DrellYanZ, GeneratorConfig, ToyGenerator
@@ -47,7 +49,7 @@ def scalar_sim(gpd_geometry, gen_events):
 @pytest.fixture(scope="module")
 def batch_sim(gpd_geometry, gen_events):
     simulation = DetectorSimulation(gpd_geometry, seed=9101)
-    return simulation.simulate_many_batch(gen_events)
+    return simulate_batch(simulation, gen_events)
 
 
 class TestPhaseStreams:
@@ -67,10 +69,10 @@ class TestPhaseStreams:
 
 class TestSimulateBatch:
     def test_deterministic(self, gpd_geometry, gen_events):
-        first = DetectorSimulation(
-            gpd_geometry, seed=9101).simulate_many_batch(gen_events)
-        second = DetectorSimulation(
-            gpd_geometry, seed=9101).simulate_many_batch(gen_events)
+        first = simulate_batch(
+            DetectorSimulation(gpd_geometry, seed=9101), gen_events)
+        second = simulate_batch(
+            DetectorSimulation(gpd_geometry, seed=9101), gen_events)
         for a, b in zip(first, second):
             assert a.primary_vertex == b.primary_vertex
             assert a.traversals == b.traversals
@@ -108,10 +110,10 @@ class TestSimulateBatch:
 
 class TestDigitizeBatch:
     def test_deterministic(self, gpd_geometry, batch_sim):
-        first = Digitizer(gpd_geometry, run_number=71,
-                          seed=9102).digitize_many_batch(batch_sim)
-        second = Digitizer(gpd_geometry, run_number=71,
-                           seed=9102).digitize_many_batch(batch_sim)
+        first = digitize_batch(
+            Digitizer(gpd_geometry, run_number=71, seed=9102), batch_sim)
+        second = digitize_batch(
+            Digitizer(gpd_geometry, run_number=71, seed=9102), batch_sim)
         assert ([r.to_dict() for r in first]
                 == [r.to_dict() for r in second])
 
@@ -120,7 +122,7 @@ class TestDigitizeBatch:
         scalar_digi = Digitizer(gpd_geometry, run_number=71, seed=9102)
         scalar_raws = scalar_digi.digitize_many(batch_sim)
         batch_digi = Digitizer(gpd_geometry, run_number=71, seed=9102)
-        batch_raws = batch_digi.digitize_many_batch(batch_sim)
+        batch_raws = digitize_batch(batch_digi, batch_sim)
         assert ([r.bunch_crossing for r in batch_raws]
                 == [r.bunch_crossing for r in scalar_raws])
         assert ([r.run_number for r in batch_raws]
@@ -132,8 +134,8 @@ class TestDigitizeBatch:
     def test_statistical_equivalence(self, gpd_geometry, batch_sim):
         scalar_raws = Digitizer(gpd_geometry, run_number=71,
                                 seed=9102).digitize_many(batch_sim)
-        batch_raws = Digitizer(gpd_geometry, run_number=71,
-                               seed=9102).digitize_many_batch(batch_sim)
+        batch_raws = digitize_batch(
+            Digitizer(gpd_geometry, run_number=71, seed=9102), batch_sim)
         for kind in ("tracker_hits", "calo_hits", "muon_hits"):
             scalar_count = sum(len(getattr(r, kind))
                                for r in scalar_raws)
@@ -143,8 +145,8 @@ class TestDigitizeBatch:
                 scalar_count, rel=0.15, abs=20), kind
 
     def test_hits_are_well_formed(self, gpd_geometry, batch_sim):
-        raws = Digitizer(gpd_geometry, run_number=71,
-                         seed=9102).digitize_many_batch(batch_sim)
+        raws = digitize_batch(
+            Digitizer(gpd_geometry, run_number=71, seed=9102), batch_sim)
         for raw in raws:
             for hit in raw.tracker_hits:
                 assert -math.pi < hit.phi <= math.pi
@@ -160,10 +162,10 @@ class TestBatchChainReconstructs:
             self, gpd_geometry, conditions_store, batch_sim):
         from repro.reconstruction import GlobalTagView, Reconstructor
 
-        raws = Digitizer(gpd_geometry, run_number=71,
-                         seed=9102).digitize_many_batch(batch_sim)
+        raws = digitize_batch(
+            Digitizer(gpd_geometry, run_number=71, seed=9102), batch_sim)
         reconstructor = Reconstructor(
             gpd_geometry, GlobalTagView(conditions_store, "GT-FINAL"))
-        recos = reconstructor.reconstruct_batch(raws)
+        recos = reconstructor.reconstruct_many(raws)
         assert len(recos) == len(raws)
         assert any(reco.muons for reco in recos)

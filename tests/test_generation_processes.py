@@ -199,3 +199,32 @@ class TestZPrime:
     def test_too_light_rejected(self):
         with pytest.raises(GenerationError):
             ZPrimeResonance(mass=100.0)
+
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(GenerationError):
+            ZPrimeResonance(mass=mass)
+
+    def test_electron_flavour(self, table):
+        event = _fill_one(ZPrimeResonance(flavour="e"), table)
+        assert sorted(p.pdg_id for p in event.final_state()) == [-11, 11]
+
+    def test_bad_flavour_rejected(self):
+        # A tau flavour used to be accepted, named ``..._to_tautau``,
+        # and generated electrons.
+        with pytest.raises(GenerationError):
+            ZPrimeResonance(flavour="tau")
+
+    def test_mass_scan_rejects_bad_flavour(self):
+        from repro.datamodel import CountCut, SkimSpec
+        from repro.recast import FullChainBackend, PreservedSearch
+        from repro.recast.scan import run_mass_scan
+
+        search = PreservedSearch(
+            analysis_id="GPD-EXO-01", title="dilepton", experiment="GPD",
+            selection=SkimSpec("dimuon", CountCut("muons", 2)),
+            n_observed=3, background=2.5, background_uncertainty=0.6,
+            luminosity_ipb=20000.0)
+        backend = FullChainBackend("GPD", n_events=5, n_limit_toys=50)
+        with pytest.raises(GenerationError, match="tau"):
+            run_mass_scan(backend, search, [600.0], flavour="tau")

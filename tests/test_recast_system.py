@@ -148,6 +148,15 @@ class TestFullRoundTrip:
         assert result["signal_efficiency"] < 0.05
 
 
+class TestFullChainBackendConfig:
+    @pytest.mark.parametrize("toys", [0, -5])
+    def test_non_positive_limit_toys_rejected(self, toys):
+        from repro.errors import BackendError
+
+        with pytest.raises(BackendError, match="n_limit_toys"):
+            FullChainBackend("GPD", n_events=10, n_limit_toys=toys)
+
+
 class TestBridge:
     def test_rivet_analysis_as_backend(self):
         repository = standard_repository()

@@ -121,6 +121,15 @@ class TestClsLimits:
         with pytest.raises(StatsError):
             cls_upper_limit(experiment)
 
+    @pytest.mark.parametrize("toys", [0, -5])
+    def test_non_positive_toys_rejected(self, toys):
+        experiment = CountingExperiment(
+            n_observed=3, background=3.0, background_uncertainty=0.3,
+            signal_efficiency=0.5, luminosity=10.0,
+        )
+        with pytest.raises(StatsError, match="n_toys"):
+            cls_upper_limit(experiment, n_toys=toys)
+
     def test_expected_limit_close_to_observed_at_median(self):
         observed = cls_upper_limit(CountingExperiment(
             n_observed=5, background=5.0, background_uncertainty=0.5,

@@ -87,3 +87,19 @@ class TestCampaign:
                     processes=[DrellYanZ()], seed=1)),
                 events_per_section=0.0,
             )
+
+    @pytest.mark.parametrize("settings", [
+        {"max_events_per_run": 0},
+        {"max_events_per_run": -3},
+        {"events_per_section": float("nan")},
+    ], ids=["zero-max-events", "negative-max-events", "nan-rate"])
+    def test_degenerate_run_sizes_rejected(self, gpd_geometry,
+                                          conditions_store, settings):
+        with pytest.raises(WorkflowError):
+            ProcessingCampaign(
+                name="bad", geometry=gpd_geometry,
+                conditions=conditions_store, global_tag="GT-FINAL",
+                generator=ToyGenerator(GeneratorConfig(
+                    processes=[DrellYanZ()], seed=1)),
+                **settings,
+            )
